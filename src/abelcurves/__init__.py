@@ -25,19 +25,11 @@ from .oracle import (
     hermite_sublattices,
     sublattice_count,
 )
-from .qseries import (
-    Fraction,
-    IntegralityError,
-    PrecisionError,
-    QSeries,
-    rational,
-    to_integer,
-)
+from .qseries import IntegralityError, PrecisionError, QSeries, to_integer
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Fraction",
     "GenusNodeIndex",
     "IntegralityError",
     "InvariantKind",
@@ -55,7 +47,6 @@ __all__ = [
     "generating_series",
     "hermite_sublattices",
     "invariant",
-    "rational",
     "sublattice_count",
     "to_integer",
 ]

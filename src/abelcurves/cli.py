@@ -12,6 +12,7 @@ All output is deterministic: identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from . import golden as golden_tables
 from . import modular, oracle
 from .modular import InvariantKind
-from .qseries import QSeries, to_integer
+from .qseries import to_integer
 
 __all__ = [
     "CheckResult",
@@ -53,23 +54,40 @@ class CountTable:
     source: str
     values: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self):
+        if [len(row) for row in self.values] != [len(self.nodes)] * len(self.genera):
+            raise ValueError(
+                f"values do not fill g_range {self.g_range} x n_range {self.n_range}"
+            )
+
+    @property
+    def genera(self) -> range:
+        return range(self.g_range[0], self.g_range[1] + 1)
+
+    @property
+    def nodes(self) -> range:
+        return range(self.n_range[0], self.n_range[1] + 1)
+
     def cell(self, g: int, n: int) -> int:
+        if g not in self.genera or n not in self.nodes:
+            raise IndexError(
+                f"cell (g={g}, n={n}) outside g_range {self.g_range} "
+                f"x n_range {self.n_range}"
+            )
         return self.values[g - self.g_range[0]][n - self.n_range[0]]
 
     def to_markdown(self) -> str:
-        n_lo, n_hi = self.n_range
-        header = [self.kind.value] + [f"n={n}" for n in range(n_lo, n_hi + 1)]
+        header = [self.kind.value] + [f"n={n}" for n in self.nodes]
         lines = ["| " + " | ".join(header) + " |"]
         lines.append("| " + " | ".join(["---"] * len(header)) + " |")
-        for g, row in zip(range(self.g_range[0], self.g_range[1] + 1), self.values):
+        for g, row in zip(self.genera, self.values):
             cells = [f"g={g}"] + [str(v) for v in row]
             lines.append("| " + " | ".join(cells) + " |")
         return "\n".join(lines)
 
     def to_csv(self) -> str:
-        n_lo, n_hi = self.n_range
-        lines = ["g\\n," + ",".join(str(n) for n in range(n_lo, n_hi + 1))]
-        for g, row in zip(range(self.g_range[0], self.g_range[1] + 1), self.values):
+        lines = ["g\\n," + ",".join(str(n) for n in self.nodes)]
+        for g, row in zip(self.genera, self.values):
             lines.append(str(g) + "," + ",".join(str(v) for v in row))
         return "\n".join(lines)
 
@@ -132,140 +150,24 @@ class CheckResult:
     detail: str
 
 
-def _passed(name: str, detail: str) -> CheckResult:
-    return CheckResult(name, True, detail)
+def _check(name, cells, fail, summary) -> CheckResult:
+    """FAIL with ``fail`` formatted from the first cell ``(where, a, b)``
+    where a != b, PASS with ``summary`` when every cell agrees."""
+    for where, a, b in cells:
+        if a != b:
+            return CheckResult(name, False, fail.format(where=where, a=a, b=b))
+    return CheckResult(name, True, summary)
 
 
-def _failed(name: str, detail: str) -> CheckResult:
-    return CheckResult(name, False, detail)
+def _grid(label, genera, nodes, pair):
+    """The cells ``(where, *pair(g, n))`` over genera x nodes, genus-major."""
+    return ((f"{label}, g={g}, n={n}", *pair(g, n)) for g in genera for n in nodes)
 
 
-def _check_golden(kind, rows, g_max, n_max):
-    name = f"golden-{kind.value}"
-    g_lo, g_hi = golden_tables.GENUS_RANGE
-    n_lo, n_hi = golden_tables.NODE_RANGE
-    g_hi = min(g_hi, g_max)
-    n_hi = min(n_hi, n_max)
-    if g_max < g_lo:
-        return _passed(name, "0 cells (range empty)")
-    cells = 0
-    for g in range(g_lo, g_hi + 1):
-        for n in range(n_lo, n_hi + 1):
-            expected = rows[g - g_lo][n - n_lo]
-            actual = modular.invariant(kind, g, n)
-            if actual != expected:
-                return _failed(
-                    name,
-                    f"({kind.value}, g={g}, n={n}): "
-                    f"reference={expected} closed_form={actual}",
-                )
-            cells += 1
-    return _passed(name, f"{cells} cells")
-
-
-def _check_oracle_agreement(kind, g_max, n_max):
-    name = f"oracle-{kind.value}"
-    g_lo = kind.min_genus
-    if g_max < g_lo:
-        return _passed(name, "0 cells (range empty)")
-    closed = build_count_table(kind, (g_lo, g_max), (0, n_max), SOURCE_CLOSED)
-    brute = build_count_table(kind, (g_lo, g_max), (0, n_max), SOURCE_ORACLE)
-    for g in range(g_lo, g_max + 1):
-        for n in range(0, n_max + 1):
-            a, b = closed.cell(g, n), brute.cell(g, n)
-            if a != b:
-                return _failed(
-                    name,
-                    f"({kind.value}, g={g}, n={n}): closed_form={a} oracle={b}",
-                )
-    cells = (g_max - g_lo + 1) * (n_max + 1)
-    return _passed(name, f"{cells} cells")
-
-
-def _check_scaling(g_max, n_max):
-    for g in range(1, g_max + 1):
-        for n in range(0, n_max + 1):
-            lhs = modular.invariant(InvariantKind.N, g, n)
-            rhs = g * modular.invariant(InvariantKind.N34, g, n)
-            if lhs != rhs:
-                return _failed(
-                    "identity-scaling",
-                    f"(n, g={g}, n={n}): n={lhs} g*n34={rhs}",
-                )
-    return _passed("identity-scaling", f"g<={g_max} n<={n_max}")
-
-
-def _check_node_shift(g_max, n_max):
-    for g in range(1, g_max + 1):
-        for n in range(0, n_max + 1):
-            lhs = modular.invariant(InvariantKind.N12, g, n)
-            rhs = (n + g - 1) * modular.invariant(InvariantKind.N34, g, n)
-            if lhs != rhs:
-                return _failed(
-                    "identity-node-shift",
-                    f"(n12, g={g}, n={n}): n12={lhs} (n+g-1)*n34={rhs}",
-                )
-    return _passed("identity-node-shift", f"g<={g_max} n<={n_max}")
-
-
-def _check_fls_ratio(g_max, n_max):
-    if g_max < 2:
-        return _passed("identity-fls-ratio", "range empty")
-    for g in range(2, g_max + 1):
-        for n in range(0, n_max + 1):
-            lhs = (g - 1) * modular.invariant(InvariantKind.FLS, g, n)
-            rhs = modular.invariant(InvariantKind.N12, g, n)
-            if lhs != rhs:
-                return _failed(
-                    "identity-fls-ratio",
-                    f"(fls, g={g}, n={n}): (g-1)*fls={lhs} n12={rhs}",
-                )
-    return _passed("identity-fls-ratio", f"2<=g<={g_max} n<={n_max}")
-
-
-def _check_fls_series(g_max, n_max):
-    if g_max < 2:
-        return _passed("identity-fls-series", "range empty")
-    for g in range(2, g_max + 1):
-        prec = n_max + g
-        direct = modular.generating_series(InvariantKind.FLS, g, prec)
-        derived = modular.fls_identity_series(g, prec)
-        if direct != derived:
-            for k in range(prec):
-                if direct.coefficient(k) != derived.coefficient(k):
-                    return _failed(
-                        "identity-fls-series",
-                        f"(fls, g={g}, q^{k}): direct={direct.coefficient(k)} "
-                        f"derived={derived.coefficient(k)}",
-                    )
-    return _passed("identity-fls-series", f"2<=g<={g_max}")
-
-
-def _check_vanishing(g_max, n_max):
-    for kind in InvariantKind:
-        if not kind.vanishes:
-            continue
-        for g in range(1, g_max + 1):
-            for n in range(0, n_max + 1):
-                value = modular.invariant(kind, g, n)
-                if value != 0:
-                    return _failed(
-                        "vanishing",
-                        f"({kind.value}, g={g}, n={n}): expected=0 closed_form={value}",
-                    )
-    return _passed("vanishing", f"4 kinds, g<={g_max} n<={n_max}")
-
-
-def _check_sigma(sigma_max):
-    for k in range(1, sigma_max + 1):
-        lattice = oracle.sublattice_count(k)
-        sigma = oracle.divisor_sum(k)
-        if lattice != sigma:
-            return _failed(
-                "sigma-sublattice",
-                f"k={k}: sublattice_count={lattice} divisor_sum={sigma}",
-            )
-    return _passed("sigma-sublattice", f"k<={sigma_max}")
+def _cell_count(genera, nodes) -> str:
+    if not genera:
+        return "0 cells (range empty)"
+    return f"{len(genera) * len(nodes)} cells"
 
 
 def run_verification(g_max=5, n_max=7, sigma_max=200, golden=None) -> list[CheckResult]:
@@ -278,41 +180,126 @@ def run_verification(g_max=5, n_max=7, sigma_max=200, golden=None) -> list[Check
         raise ValueError("verification bounds out of range")
     if golden is None:
         golden = golden_tables.TABLES
+    N, FLS, N12, N34 = (InvariantKind.N, InvariantKind.FLS,
+                        InvariantKind.N12, InvariantKind.N34)
+    nodes = range(n_max + 1)
+
+    @functools.cache
+    def table(kind, source):
+        return build_count_table(kind, (kind.min_genus, g_max), (0, n_max), source)
+
+    @functools.cache
+    def series(kind, g):
+        return modular.generating_series(kind, g, n_max + g)
+
+    def cell(kind, g, n):
+        # The cells n = 0..n_max of one genus are one slice of one series.
+        return to_integer(series(kind, g).coefficient(n + g - 1))
+
+    (gold_g_lo, gold_g_hi), (gold_n_lo, gold_n_hi) = (
+        golden_tables.GENUS_RANGE, golden_tables.NODE_RANGE)
+    gold_genera = range(gold_g_lo, min(gold_g_hi, g_max) + 1)
+    gold_nodes = range(gold_n_lo, min(gold_n_hi, n_max) + 1)
     results = [
-        _check_golden(InvariantKind.FLS, golden[InvariantKind.FLS], g_max, n_max),
-        _check_golden(InvariantKind.N, golden[InvariantKind.N], g_max, n_max),
+        _check(
+            f"golden-{kind.value}",
+            _grid(kind.value, gold_genera, gold_nodes, lambda g, n: (
+                golden[kind][g - gold_g_lo][n - gold_n_lo],
+                table(kind, SOURCE_CLOSED).cell(g, n))),
+            "({where}): reference={a} closed_form={b}",
+            _cell_count(gold_genera, gold_nodes),
+        )
+        for kind in (FLS, N)
     ]
-    for kind in (InvariantKind.N, InvariantKind.FLS, InvariantKind.N12, InvariantKind.N34):
-        results.append(_check_oracle_agreement(kind, g_max, n_max))
-    results.append(_check_scaling(g_max, n_max))
-    results.append(_check_node_shift(g_max, n_max))
-    results.append(_check_fls_ratio(g_max, n_max))
-    results.append(_check_fls_series(g_max, n_max))
-    results.append(_check_vanishing(g_max, n_max))
-    results.append(_check_sigma(sigma_max))
-    return results
+    results += [
+        _check(
+            f"oracle-{kind.value}",
+            _grid(kind.value, range(kind.min_genus, g_max + 1), nodes, lambda g, n: (
+                table(kind, SOURCE_CLOSED).cell(g, n),
+                table(kind, SOURCE_ORACLE).cell(g, n))),
+            "({where}): closed_form={a} oracle={b}",
+            _cell_count(range(kind.min_genus, g_max + 1), nodes),
+        )
+        for kind in (N, FLS, N12, N34)
+    ]
+    return results + [
+        _check(
+            "identity-scaling",
+            _grid("n", range(1, g_max + 1), nodes, lambda g, n: (
+                cell(N, g, n), g * cell(N34, g, n))),
+            "({where}): n={a} g*n34={b}",
+            f"g<={g_max} n<={n_max}",
+        ),
+        _check(
+            "identity-node-shift",
+            _grid("n12", range(1, g_max + 1), nodes, lambda g, n: (
+                cell(N12, g, n), (n + g - 1) * cell(N34, g, n))),
+            "({where}): n12={a} (n+g-1)*n34={b}",
+            f"g<={g_max} n<={n_max}",
+        ),
+        _check(
+            "identity-fls-ratio",
+            _grid("fls", range(2, g_max + 1), nodes, lambda g, n: (
+                (g - 1) * cell(FLS, g, n), cell(N12, g, n))),
+            "({where}): (g-1)*fls={a} n12={b}",
+            f"2<=g<={g_max} n<={n_max}" if g_max >= 2 else "range empty",
+        ),
+        _check(
+            "identity-fls-series",
+            (
+                (f"fls, g={g}, q^{k}", direct, derived)
+                for g in range(2, g_max + 1)
+                for k, (direct, derived) in enumerate(zip(
+                    series(FLS, g), modular.fls_identity_series(g, n_max + g)))
+            ),
+            "({where}): direct={a} derived={b}",
+            f"2<=g<={g_max}" if g_max >= 2 else "range empty",
+        ),
+        _check(
+            "vanishing",
+            (
+                (f"{kind.value}, g={g}, n={n}", 0, cell(kind, g, n))
+                for kind in InvariantKind if kind.vanishes
+                for g in range(1, g_max + 1)
+                for n in nodes
+            ),
+            "({where}): expected={a} closed_form={b}",
+            f"4 kinds, g<={g_max} n<={n_max}",
+        ),
+        _check(
+            "sigma-sublattice",
+            (
+                (f"k={k}", oracle.sublattice_count(k), oracle.divisor_sum(k))
+                for k in range(1, sigma_max + 1)
+            ),
+            "{where}: sublattice_count={a} divisor_sum={b}",
+            f"k<={sigma_max}",
+        ),
+    ]
 
 
 # --- commands ---------------------------------------------------------------
 
 
-def _series_for(args) -> tuple[InvariantKind, QSeries]:
-    kind = InvariantKind(args.kind)
-    return kind, modular.generating_series(kind, args.genus, args.prec)
+_SOURCES = {"closed": SOURCE_CLOSED, "oracle": SOURCE_ORACLE}
+
+
+class _SourceAction(argparse.Action):
+    """Store ``--source closed|oracle`` as SOURCE_CLOSED or SOURCE_ORACLE."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        setattr(namespace, self.dest, _SOURCES[value])
 
 
 def cmd_coeff(args) -> int:
-    kind = InvariantKind(args.kind)
-    source = SOURCE_CLOSED if args.source == "closed" else SOURCE_ORACLE
-    print(_cell_value(kind, args.genus, args.nodes, source))
+    print(_cell_value(InvariantKind(args.kind), args.genus, args.nodes, args.source))
     return 0
 
 
 def cmd_table(args) -> int:
-    kind = InvariantKind(args.kind)
-    source = SOURCE_CLOSED if args.source == "closed" else SOURCE_ORACLE
     table = build_count_table(
-        kind, (args.gmin, args.gmax), (args.nmin, args.nmax), source
+        InvariantKind(args.kind), (args.gmin, args.gmax), (args.nmin, args.nmax),
+        args.source,
     )
     if args.format == "md":
         print(table.to_markdown())
@@ -324,7 +311,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_series(args) -> int:
-    kind, series = _series_for(args)
+    kind = InvariantKind(args.kind)
+    series = modular.generating_series(kind, args.genus, args.prec)
     if args.format == "md":
         print(" ".join(f"{k}:{series.coefficient(k)}" for k in range(series.prec)))
     elif args.format == "csv":
@@ -362,7 +350,9 @@ def _parser() -> argparse.ArgumentParser:
     coeff.add_argument("--kind", required=True, choices=kinds)
     coeff.add_argument("--genus", required=True, type=int)
     coeff.add_argument("--nodes", required=True, type=int)
-    coeff.add_argument("--source", choices=["closed", "oracle"], default="closed")
+    coeff.add_argument(
+        "--source", choices=_SOURCES, default=SOURCE_CLOSED, action=_SourceAction
+    )
     coeff.set_defaults(func=cmd_coeff)
 
     table = sub.add_parser("table", help="print a rectangle of invariant values")
@@ -372,7 +362,9 @@ def _parser() -> argparse.ArgumentParser:
     table.add_argument("--nmin", required=True, type=int)
     table.add_argument("--nmax", required=True, type=int)
     table.add_argument("--format", choices=["md", "csv", "json"], default="md")
-    table.add_argument("--source", choices=["closed", "oracle"], default="closed")
+    table.add_argument(
+        "--source", choices=_SOURCES, default=SOURCE_CLOSED, action=_SourceAction
+    )
     table.set_defaults(func=cmd_table)
 
     series = sub.add_parser("series", help="print generating-series coefficients")

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .oracle import divisor_sum
 from .qseries import QSeries, to_integer
 
 __all__ = [
@@ -90,8 +89,13 @@ def eisenstein_g2(prec: int) -> QSeries:
     """The weight-2 Eisenstein series -1/24 + sum_{k>=1} sigma(k) q^k."""
     if prec < 1:
         raise ValueError("prec must be >= 1")
-    coeffs: list[Fraction | int] = [Fraction(-1, 24)]
-    coeffs.extend(divisor_sum(k) for k in range(1, prec))
+    # sigma by a divisor sieve, kept apart from the oracle's trial division
+    # so that the two routes share no arithmetic.
+    coeffs: list[Fraction | int] = [0] * prec
+    for d in range(1, prec):
+        for m in range(d, prec, d):
+            coeffs[m] += d
+    coeffs[0] = Fraction(-1, 24)
     return QSeries(coeffs)
 
 

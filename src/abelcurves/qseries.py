@@ -16,11 +16,9 @@ from typing import Iterable, Iterator, Union
 Scalar = Union[int, Fraction]
 
 __all__ = [
-    "Fraction",
     "IntegralityError",
     "PrecisionError",
     "QSeries",
-    "rational",
     "to_integer",
 ]
 
@@ -31,14 +29,6 @@ class PrecisionError(ValueError):
 
 class IntegralityError(ValueError):
     """An integer was expected but a fraction with a nontrivial denominator appeared."""
-
-
-def rational(numerator: int, denominator: int = 1) -> Fraction:
-    """Exact rational in canonical reduced form, sign carried by the numerator.
-
-    A zero denominator raises ZeroDivisionError.
-    """
-    return Fraction(numerator, denominator)
 
 
 def to_integer(value: Scalar) -> int:
@@ -54,9 +44,11 @@ def to_integer(value: Scalar) -> int:
 
 
 def _coerce(value: object) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError("float coefficients are not allowed; use Fraction or int")
-    return Fraction(value)
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    raise TypeError(
+        f"coefficients must be int or Fraction, got {type(value).__name__}"
+    )
 
 
 class QSeries:
@@ -82,6 +74,8 @@ class QSeries:
 
     @classmethod
     def one(cls, prec: int) -> "QSeries":
+        if prec < 1:
+            raise ValueError("a series needs at least the constant coefficient")
         return cls([1] + [0] * (prec - 1))
 
     @property

@@ -216,6 +216,22 @@ def test_count_table_cell_accessor():
     assert oracle_table.source == "oracle"
 
 
+def test_count_table_cell_rejects_out_of_range():
+    table = build_count_table(InvariantKind.N, (2, 3), (0, 4), SOURCE_CLOSED)
+    assert table.cell(3, 4) == table.values[1][4]
+    for g, n in ((1, 0), (4, 0), (2, -1), (2, 5)):
+        with pytest.raises(IndexError):
+            table.cell(g, n)
+
+
+def test_count_table_from_json_rejects_wrong_shape():
+    good = build_count_table(InvariantKind.N, (2, 5), (0, 7), SOURCE_CLOSED)
+    data = json.loads(good.to_json())
+    for values in ([["1"]], data["values"][:-1], [row[:-1] for row in data["values"]]):
+        with pytest.raises(ValueError):
+            CountTable.from_json(json.dumps({**data, "values": values}))
+
+
 # --- verify -----------------------------------------------------------------
 
 
@@ -328,3 +344,104 @@ def test_process_exit_codes():
 def test_process_determinism():
     args = ("series", "--kind", "n12", "--genus", "4", "--prec", "12", "--format", "json")
     assert _run_process(*args).stdout == _run_process(*args).stdout
+
+
+# --- pinned verify output ----------------------------------------------------
+
+
+def _verify_lines(*bounds):
+    return [
+        f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}"
+        for r in run_verification(*bounds)
+    ]
+
+
+PASSING_LINES = {
+    (5, 7, 20): [
+        "PASS golden-fls: 32 cells",
+        "PASS golden-n: 32 cells",
+        "PASS oracle-n: 40 cells",
+        "PASS oracle-fls: 32 cells",
+        "PASS oracle-n12: 40 cells",
+        "PASS oracle-n34: 40 cells",
+        "PASS identity-scaling: g<=5 n<=7",
+        "PASS identity-node-shift: g<=5 n<=7",
+        "PASS identity-fls-ratio: 2<=g<=5 n<=7",
+        "PASS identity-fls-series: 2<=g<=5",
+        "PASS vanishing: 4 kinds, g<=5 n<=7",
+        "PASS sigma-sublattice: k<=20",
+    ],
+    (1, 0, 1): [
+        "PASS golden-fls: 0 cells (range empty)",
+        "PASS golden-n: 0 cells (range empty)",
+        "PASS oracle-n: 1 cells",
+        "PASS oracle-fls: 0 cells (range empty)",
+        "PASS oracle-n12: 1 cells",
+        "PASS oracle-n34: 1 cells",
+        "PASS identity-scaling: g<=1 n<=0",
+        "PASS identity-node-shift: g<=1 n<=0",
+        "PASS identity-fls-ratio: range empty",
+        "PASS identity-fls-series: range empty",
+        "PASS vanishing: 4 kinds, g<=1 n<=0",
+        "PASS sigma-sublattice: k<=1",
+    ],
+    (2, 3, 10): [
+        "PASS golden-fls: 4 cells",
+        "PASS golden-n: 4 cells",
+        "PASS oracle-n: 8 cells",
+        "PASS oracle-fls: 4 cells",
+        "PASS oracle-n12: 8 cells",
+        "PASS oracle-n34: 8 cells",
+        "PASS identity-scaling: g<=2 n<=3",
+        "PASS identity-node-shift: g<=2 n<=3",
+        "PASS identity-fls-ratio: 2<=g<=2 n<=3",
+        "PASS identity-fls-series: 2<=g<=2",
+        "PASS vanishing: 4 kinds, g<=2 n<=3",
+        "PASS sigma-sublattice: k<=10",
+    ],
+}
+
+
+@pytest.mark.parametrize("bounds", sorted(PASSING_LINES))
+def test_verify_output_is_pinned(bounds):
+    assert _verify_lines(*bounds) == PASSING_LINES[bounds]
+
+
+def test_verify_fail_lines_are_pinned(monkeypatch):
+    from abelcurves import modular
+    from abelcurves.qseries import QSeries
+
+    # (kind, g) -> (exponent, delta): one corrupted coefficient per series,
+    # applied whenever the series is computed far enough to contain it.
+    faults = {
+        (InvariantKind.N34, 3): (4, 1),
+        (InvariantKind.FLS, 4): (5, 1),
+        (InvariantKind.ZERO13, 2): (3, 1),
+        (InvariantKind.N, 5): (8, -1),
+    }
+    original = modular.generating_series
+
+    def corrupted(kind, g, prec):
+        series = original(kind, g, prec)
+        fault = faults.get((InvariantKind(kind), g))
+        if fault is None or series.prec <= fault[0]:
+            return series
+        coeffs = list(series.coefficients)
+        coeffs[fault[0]] += fault[1]
+        return QSeries(coeffs)
+
+    monkeypatch.setattr(modular, "generating_series", corrupted)
+    assert _verify_lines(5, 7, 20) == [
+        "FAIL golden-fls: (fls, g=4, n=2): reference=240 closed_form=241",
+        "FAIL golden-n: (n, g=5, n=4): reference=47400 closed_form=47399",
+        "FAIL oracle-n: (n, g=5, n=4): closed_form=47399 oracle=47400",
+        "FAIL oracle-fls: (fls, g=4, n=2): closed_form=241 oracle=240",
+        "PASS oracle-n12: 40 cells",
+        "FAIL oracle-n34: (n34, g=3, n=2): closed_form=61 oracle=60",
+        "FAIL identity-scaling: (n, g=3, n=2): n=180 g*n34=183",
+        "FAIL identity-node-shift: (n12, g=3, n=2): n12=240 (n+g-1)*n34=244",
+        "FAIL identity-fls-ratio: (fls, g=4, n=2): (g-1)*fls=723 n12=720",
+        "FAIL identity-fls-series: (fls, g=4, q^5): direct=241 derived=240",
+        "FAIL vanishing: (zero13, g=2, n=2): expected=0 closed_form=1",
+        "PASS sigma-sublattice: k<=20",
+    ]

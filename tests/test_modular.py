@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from abelcurves import modular, oracle
 from abelcurves.modular import (
     GenusNodeIndex,
     InvariantKind,
@@ -34,6 +35,16 @@ def test_eisenstein_g2_matches_divisor_scan():
     g2 = eisenstein_g2(30)
     for k in range(1, 30):
         assert g2.coefficient(k) == sum(d for d in range(1, k + 1) if k % d == 0)
+    g2 = eisenstein_g2(2000)
+    assert all(g2.coefficient(k) == oracle.divisor_sum(k) for k in range(1, 2000))
+
+
+def test_modular_shares_no_code_with_oracle():
+    # The closed forms and the brute-force twin must stay independent, or a
+    # bug in a shared helper would cancel out of every cross-check.
+    for name, obj in vars(modular).items():
+        assert obj is not oracle, name
+        assert getattr(obj, "__module__", None) != oracle.__name__, name
 
 
 def test_eisenstein_g2_needs_positive_prec():

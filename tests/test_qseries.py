@@ -8,23 +8,8 @@ from abelcurves.qseries import (
     IntegralityError,
     PrecisionError,
     QSeries,
-    rational,
     to_integer,
 )
-
-
-def test_rational_is_canonical():
-    assert rational(2, 4) == Fraction(1, 2)
-    r = rational(3, -6)
-    assert r.numerator == -1 and r.denominator == 2
-    zero = rational(0, 17)
-    assert zero.numerator == 0 and zero.denominator == 1
-    assert rational(7) == 7
-
-
-def test_rational_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
-        rational(1, 0)
 
 
 def test_to_integer():
@@ -51,6 +36,23 @@ def test_zero_and_one():
     e = QSeries.one(3)
     assert e.coefficients == (1, 0, 0)
     assert e.prec == 3
+
+
+def test_zero_and_one_need_positive_prec():
+    for make in (QSeries.zero, QSeries.one):
+        with pytest.raises(ValueError):
+            make(0)
+        with pytest.raises(ValueError):
+            make(-2)
+
+
+def test_coefficients_must_be_int_or_fraction():
+    from decimal import Decimal
+
+    for bad in ("1/2", "3", 0.5, Decimal(1), complex(1, 0), None):
+        with pytest.raises(TypeError):
+            QSeries([1, bad])
+    assert QSeries([True, 2, Fraction(1, 3)]).coefficients == (1, 2, Fraction(1, 3))
 
 
 def test_coefficient_access():
