@@ -5,7 +5,7 @@
     abelcurves series --kind n34 --genus 2 --prec 5
     abelcurves verify
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage or domain error.
+Exit codes: 0 success, 1 verification mismatch, 2 any other failure.
 All output is deterministic: identical invocations produce identical bytes.
 """
 
@@ -387,6 +387,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # exit 1 is reserved for verification mismatch
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -6,13 +6,19 @@ is a real cross-check rather than a tautology.
 
 The counting scheme: a genus-g class of self-intersection 2(n+g-1) is
 covered by maps whose image degenerates into g-1 elliptic "fiber" pieces
-of degrees k_1 + ... + k_{g-1} = n+g-1; each degree-k piece contributes a
-factor counted by divisor sums of k.  Summing the weighted products over
-all ordered degree splittings (compositions) gives the count.
+of degrees k_1 + ... + k_{g-1} = n+g-1, each degree-k piece contributing
+k * sigma(k), with sigma(k) computed once per part size.  Every family sums
+these products over all ordered degree splittings (compositions), with an
+extra factor k on the first (n12) or last (fls) part and a prefactor (g
+for n, g-1 for n12).
 """
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import combinations
+from math import prod
+from operator import sub
 from typing import Iterator
 
 __all__ = [
@@ -81,9 +87,25 @@ def compositions(total: int, length: int) -> Iterator[tuple[int, ...]]:
         return
     if total < length:
         return
-    for head in range(1, total - length + 2):
-        for tail in compositions(total - head, length - 1):
-            yield (head,) + tail
+    # Parts are the gaps between cuts 0 < c_1 < ... < c_(length-1) < total,
+    # in lexicographic order.  Going through a list sizes each tuple exactly,
+    # so CPython's tuple free list does not fill with resized dead tuples.
+    for cuts in combinations(range(1, total), length - 1):
+        yield tuple(list(map(sub, cuts + (total,), (0,) + cuts)))
+
+
+def _composition_sum(g: int, n: int, end: slice = slice(0)) -> int:
+    """Sum over compositions of n+g-1 into g-1 parts of the product of
+    k * sigma(k) over the parts k, times each part in ``parts[end]`` (the
+    first, the last or none).  sigma(k) is computed once per part size that
+    occurs, so genus 2 costs one divisor sum however large n is.
+    """
+    _check_index(g, n)
+    weight = cache(lambda k: k * divisor_sum(k))
+    return sum(
+        prod(map(weight, parts)) * prod(parts[end])
+        for parts in compositions(n + g - 1, g - 1)
+    )
 
 
 def count_n(g: int, n: int) -> int:
@@ -92,8 +114,7 @@ def count_n(g: int, n: int) -> int:
     g times the sum over compositions (k_1, ..., k_{g-1}) of n+g-1 of the
     product of k_i * sigma(k_i).
     """
-    _check_index(g, n)
-    return g * count_n34(g, n)
+    return g * _composition_sum(g, n)
 
 
 def count_fls(g: int, n: int) -> int:
@@ -104,15 +125,7 @@ def count_fls(g: int, n: int) -> int:
     """
     if g < 2:
         raise ValueError("the fixed-linear-system count needs g >= 2")
-    _check_index(g, n)
-    total = 0
-    for parts in compositions(n + g - 1, g - 1):
-        last = parts[-1]
-        w = last * last * divisor_sum(last)
-        for k in parts[:-1]:
-            w *= k * divisor_sum(k)
-        total += w
-    return total
+    return _composition_sum(g, n, slice(-1, None))
 
 
 def count_n12(g: int, n: int) -> int:
@@ -122,17 +135,7 @@ def count_n12(g: int, n: int) -> int:
     g-1 times the composition sum with the first part weighted
     k**2 * sigma(k); identically 0 at g = 1 (empty prefactor).
     """
-    _check_index(g, n)
-    total = 0
-    for parts in compositions(n + g - 1, g - 1):
-        if not parts:
-            continue
-        first = parts[0]
-        w = first * first * divisor_sum(first)
-        for k in parts[1:]:
-            w *= k * divisor_sum(k)
-        total += w
-    return (g - 1) * total
+    return (g - 1) * _composition_sum(g, n, slice(1))
 
 
 def count_n34(g: int, n: int) -> int:
@@ -141,14 +144,7 @@ def count_n34(g: int, n: int) -> int:
 
     The empty composition at g = 1, n = 0 contributes the empty product 1.
     """
-    _check_index(g, n)
-    total = 0
-    for parts in compositions(n + g - 1, g - 1):
-        w = 1
-        for k in parts:
-            w *= k * divisor_sum(k)
-        total += w
-    return total
+    return _composition_sum(g, n)
 
 
 _ZERO_TAGS = frozenset({"zero13", "zero14", "zero23", "zero24"})

@@ -341,6 +341,30 @@ def test_process_exit_codes():
     assert _run_process("table", "--kind", "n").returncode == 2
 
 
+@pytest.mark.parametrize("args", [
+    ("series", "--kind", "n", "--genus", "2", "--prec", "99999999999999999999"),
+    ("coeff", "--kind", "n", "--genus", "2", "--nodes", "99999999999999999999"),
+])
+def test_process_overflow_is_domain_error(args):
+    proc = _run_process(*args)
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_unexpected_exception_exits_two(capsys, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("abelcurves.oracle.count_invariant", broken)
+    code, out, err = run(
+        capsys, "coeff", "--kind", "n", "--genus", "2", "--nodes", "1",
+        "--source", "oracle",
+    )
+    assert (code, out, err) == (2, "", "internal error: RuntimeError: boom\n")
+
+
 def test_process_determinism():
     args = ("series", "--kind", "n12", "--genus", "4", "--prec", "12", "--format", "json")
     assert _run_process(*args).stdout == _run_process(*args).stdout

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from abelcurves import modular, oracle
+from abelcurves import modular, oracle, qseries
 from abelcurves.modular import (
     GenusNodeIndex,
     InvariantKind,
@@ -45,6 +45,10 @@ def test_modular_shares_no_code_with_oracle():
     for name, obj in vars(modular).items():
         assert obj is not oracle, name
         assert getattr(obj, "__module__", None) != oracle.__name__, name
+    for name, obj in vars(oracle).items():
+        for other in (modular, qseries):
+            assert obj is not other, name
+            assert getattr(obj, "__module__", None) != other.__name__, name
 
 
 def test_eisenstein_g2_needs_positive_prec():

@@ -92,6 +92,8 @@ def test_compositions_listing():
     assert list(compositions(4, 2)) == [(1, 3), (2, 2), (3, 1)]
     assert list(compositions(3, 3)) == [(1, 1, 1)]
     assert list(compositions(1, 1)) == [(1,)]
+    # one part per level of recursion would overflow the interpreter stack
+    assert list(compositions(1200, 1200)) == [(1,) * 1200]
 
 
 def test_compositions_empty_cases():
@@ -162,6 +164,31 @@ def test_count_n34_values():
     assert count_n34(1, 3) == 0
     assert count_n34(2, 2) == 12
     assert count_n34(3, 1) == 12
+
+
+def test_counts_at_high_genus_match_closed_form():
+    # n = 0 leaves only the all-ones composition, whose product is 1.
+    g = 1200
+    assert count_n(g, 0) == g
+    assert count_n34(g, 0) == 1
+    assert count_n12(g, 0) == g - 1
+    assert count_fls(g, 0) == 1
+
+
+def test_divisor_sum_runs_once_per_part_size(monkeypatch):
+    calls = []
+
+    def counted(k):
+        calls.append(k)
+        return divisor_sum(k)
+
+    monkeypatch.setattr("abelcurves.oracle.divisor_sum", counted)
+    assert count_n34(7, 16) == 109822235067
+    assert len(calls) <= 16 + 7 - 1
+    calls.clear()
+    # genus 2 has the single composition (n+1,): one divisor sum, not n+1
+    assert count_fls(2, 10**6) == (10**6 + 1) ** 2 * divisor_sum(10**6 + 1)
+    assert calls == [10**6 + 1]
 
 
 def test_counts_reject_bad_indexes():
