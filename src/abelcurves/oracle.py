@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations
-from math import prod
+from math import isqrt, prod
 from operator import sub
 from typing import Iterator
 
 __all__ = [
+    "WORK_LIMIT",
     "compositions",
     "count_fls",
     "count_invariant",
@@ -32,6 +33,11 @@ __all__ = [
     "hermite_sublattices",
     "sublattice_count",
 ]
+
+#: The most steps one count may take: composition parts visited plus trial
+#: divisions for sigma.  A part costs about 0.26 us at genus 8 and more at
+#: low genus, where each composition has fewer parts to share its overhead.
+WORK_LIMIT = 10**7
 
 
 def divisor_sum(k: int) -> int:
@@ -87,6 +93,9 @@ def compositions(total: int, length: int) -> Iterator[tuple[int, ...]]:
         return
     if total < length:
         return
+    if length == 1:  # one part, no cuts: skip the pool of total-1 cut points
+        yield (total,)
+        return
     # Parts are the gaps between cuts 0 < c_1 < ... < c_(length-1) < total,
     # in lexicographic order.  Going through a list sizes each tuple exactly,
     # so CPython's tuple free list does not fill with resized dead tuples.
@@ -99,8 +108,25 @@ def _composition_sum(g: int, n: int, end: slice = slice(0)) -> int:
     k * sigma(k) over the parts k, times each part in ``parts[end]`` (the
     first, the last or none).  sigma(k) is computed once per part size that
     occurs, so genus 2 costs one divisor sum however large n is.
+
+    Raises ValueError, before any enumeration, when the count would take
+    more than WORK_LIMIT steps: (g-1) * binomial(n+g-2, g-2) parts, plus at
+    most isqrt(n+1) trial divisions for each part size 1..n+1 (only n+1 at
+    genus 2).  The binomial is built factor by factor and abandoned once
+    over the limit, so no huge (g, n) is ever multiplied out.
     """
     _check_index(g, n)
+    if g >= 2:
+        steps, r = g - 1, min(n, g - 2)
+        for i in range(1, r + 1):
+            if steps > WORK_LIMIT:
+                break
+            steps = steps * (n + g - 2 - r + i) // i
+        if steps + (n + 1 if g > 2 else 1) * isqrt(n + 1) > WORK_LIMIT:
+            raise ValueError(
+                f"oracle count at g={g}, n={n} needs more than "
+                f"WORK_LIMIT = {WORK_LIMIT} steps"
+            )
     weight = cache(lambda k: k * divisor_sum(k))
     return sum(
         prod(map(weight, parts)) * prod(parts[end])

@@ -105,6 +105,23 @@ def test_series_json(capsys):
     }
 
 
+@pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+def test_series_rejects_fractional_coefficient(capsys, monkeypatch, fmt):
+    from fractions import Fraction
+
+    from abelcurves.qseries import QSeries
+
+    monkeypatch.setattr(
+        "abelcurves.modular.generating_series",
+        lambda kind, g, prec: QSeries([Fraction(1, 2)] * prec),
+    )
+    code, out, err = run(
+        capsys, "series", "--kind", "n", "--genus", "2", "--prec", "2", "--format", fmt,
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: expected an integer")
+
+
 def test_series_bad_prec(capsys):
     code, _, err = run(capsys, "series", "--kind", "n", "--genus", "2", "--prec", "0")
     assert code == 2
@@ -284,6 +301,27 @@ def test_verify_exit_one_on_corrupted_golden(capsys, monkeypatch):
     assert "FAIL golden-fls" in out
 
 
+def test_run_verification_reads_one_series_per_kind_and_genus(monkeypatch):
+    from abelcurves import cli, modular
+
+    series_calls, table_calls = [], []
+    generating_series = modular.generating_series
+
+    def counted_series(kind, g, prec):
+        series_calls.append((InvariantKind(kind), g))
+        return generating_series(kind, g, prec)
+
+    def counted_table(*args, **kwargs):
+        table_calls.append(args)
+        return build_count_table(*args, **kwargs)
+
+    monkeypatch.setattr(modular, "generating_series", counted_series)
+    monkeypatch.setattr(cli, "build_count_table", counted_table)
+    assert all(r.passed for r in run_verification(7, 16))
+    assert len(series_calls) == len(set(series_calls)) <= 55
+    assert table_calls == []
+
+
 def test_run_verification_rejects_bad_bounds():
     with pytest.raises(ValueError):
         run_verification(g_max=0)
@@ -318,7 +356,7 @@ def test_output_is_deterministic(capsys):
     assert first == second
 
 
-def _run_process(*args):
+def _run_process(*args, timeout=None):
     env = os.environ.copy()
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
@@ -326,6 +364,7 @@ def _run_process(*args):
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -351,6 +390,18 @@ def test_process_overflow_is_domain_error(args):
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_process_oracle_over_work_limit_exits_two():
+    # 1.03e10 composition parts to walk: refused before enumerating
+    proc = _run_process(
+        "coeff", "--kind", "n", "--genus", "12", "--nodes", "40", "--source", "oracle",
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ")
+    assert "WORK_LIMIT = 10000000" in proc.stderr
 
 
 def test_unexpected_exception_exits_two(capsys, monkeypatch):

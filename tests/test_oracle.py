@@ -4,6 +4,7 @@ from math import comb, gcd
 import pytest
 
 from abelcurves.oracle import (
+    WORK_LIMIT,
     compositions,
     count_fls,
     count_invariant,
@@ -94,6 +95,8 @@ def test_compositions_listing():
     assert list(compositions(1, 1)) == [(1,)]
     # one part per level of recursion would overflow the interpreter stack
     assert list(compositions(1200, 1200)) == [(1,) * 1200]
+    # one part has no cut points, so no pool of 10**12 of them is built
+    assert list(compositions(10**12, 1)) == [(10**12,)]
 
 
 def test_compositions_empty_cases():
@@ -189,6 +192,26 @@ def test_divisor_sum_runs_once_per_part_size(monkeypatch):
     # genus 2 has the single composition (n+1,): one divisor sum, not n+1
     assert count_fls(2, 10**6) == (10**6 + 1) ** 2 * divisor_sum(10**6 + 1)
     assert calls == [10**6 + 1]
+
+
+def test_counts_over_the_work_limit_are_refused():
+    # Each would otherwise run for hours or allocate gigabytes: a pool of
+    # 10**8 cut points, a binomial too large to multiply out, 10**9 trial
+    # divisions for one sigma, or 10**10 composition parts.
+    for g, n in ((10**8, 0), (10**18, 10**18), (2, 10**18), (12, 40)):
+        with pytest.raises(ValueError, match=f"WORK_LIMIT = {WORK_LIMIT}"):
+            count_n34(g, n)
+
+
+def test_work_limit_boundary(monkeypatch):
+    # The largest accepted n per genus, where (g-1) * binomial(n+g-2, g-2)
+    # parts plus (n+1) * isqrt(n+1) trial divisions (isqrt(n+1) at genus 2)
+    # first pass 10**7.  Enumeration is stubbed out: only the check runs.
+    monkeypatch.setattr("abelcurves.oracle.compositions", lambda total, length: iter(()))
+    for g, n in ((2, 99999999999998), (3, 46223), (4, 2563), (8, 28), (12, 12)):
+        assert count_n34(g, n) == 0
+        with pytest.raises(ValueError):
+            count_n34(g, n + 1)
 
 
 def test_counts_reject_bad_indexes():
