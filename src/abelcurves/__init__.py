@@ -7,12 +7,12 @@ closed form against an independent brute-force enumeration.
 """
 
 from .modular import (
-    GenusNodeIndex,
     InvariantKind,
     eisenstein_g2,
     fls_identity_series,
     generating_series,
     invariant,
+    node_counts,
 )
 from .oracle import (
     compositions,
@@ -30,7 +30,6 @@ from .qseries import IntegralityError, PrecisionError, QSeries, to_integer
 __version__ = "0.1.0"
 
 __all__ = [
-    "GenusNodeIndex",
     "IntegralityError",
     "InvariantKind",
     "PrecisionError",
@@ -47,6 +46,7 @@ __all__ = [
     "generating_series",
     "hermite_sublattices",
     "invariant",
+    "node_counts",
     "sublattice_count",
     "to_integer",
 ]

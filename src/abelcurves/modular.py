@@ -21,19 +21,18 @@ fractional coefficient (an internal bug) fails loudly instead of leaking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .qseries import QSeries, to_integer
 
 __all__ = [
-    "GenusNodeIndex",
     "InvariantKind",
     "eisenstein_g2",
     "fls_identity_series",
     "generating_series",
     "invariant",
+    "node_counts",
 ]
 
 
@@ -57,32 +56,6 @@ class InvariantKind(Enum):
     def min_genus(self) -> int:
         """Smallest genus the family is defined for (2 for fls, else 1)."""
         return 2 if self is InvariantKind.FLS else 1
-
-
-@dataclass(frozen=True)
-class GenusNodeIndex:
-    """A (genus, node-count) pair indexing one invariant value.
-
-    The underlying curve class has self-intersection 2(n + g - 1), and the
-    count sits at the q^(n+g-1) coefficient of the generating series.
-    """
-
-    g: int
-    n: int
-
-    def __post_init__(self):
-        if self.g < 1:
-            raise ValueError("genus must be >= 1")
-        if self.n < 0:
-            raise ValueError("node count must be >= 0")
-
-    @property
-    def exponent(self) -> int:
-        return self.n + self.g - 1
-
-    @property
-    def self_intersection(self) -> int:
-        return 2 * self.exponent
 
 
 def eisenstein_g2(prec: int) -> QSeries:
@@ -121,20 +94,25 @@ def generating_series(kind: InvariantKind, g: int, prec: int) -> QSeries:
     return dg2 ** (g - 1)  # N34
 
 
-def invariant(kind: InvariantKind, g: int, n: int) -> int:
-    """The count of family ``kind`` at genus g with n nodes.
+def node_counts(series: QSeries, g: int) -> list[int]:
+    """The genus-g counts in ``series``, at n = 0, 1, ...: the count with n
+    nodes sits at the q^(n+g-1) coefficient."""
+    return [to_integer(c) for c in series.coefficients[g - 1:]]
 
-    Computed at exactly the precision needed, n + g, and extracted from the
-    q^(n+g-1) coefficient as an exact integer.
-    """
-    index = GenusNodeIndex(g, n)
-    series = generating_series(kind, g, index.exponent + 1)
-    return to_integer(series.coefficient(index.exponent))
+
+def invariant(kind: InvariantKind, g: int, n: int) -> int:
+    """The count of family ``kind`` at genus g with n nodes, read off the
+    series at exactly the precision needed, n + g."""
+    if g < 1:
+        raise ValueError("genus must be >= 1")
+    if n < 0:
+        raise ValueError("node count must be >= 0")
+    return node_counts(generating_series(kind, g, n + g), g)[n]
 
 
 def fls_identity_series(g: int, prec: int) -> QSeries:
     """The fixed-linear-system series computed the other way around, as
-    D((DG2)^(g-1)) / (g-1).
+    D((DG2)^(g-1)) / (g-1), the n12 series over g-1.
 
     Since D is a derivation, this equals (DG2)^(g-2) * D(DG2) identically;
     the verification suite checks the two routes coefficient by
@@ -142,7 +120,4 @@ def fls_identity_series(g: int, prec: int) -> QSeries:
     """
     if g < 2:
         raise ValueError("the fixed-linear-system series needs g >= 2")
-    if prec < 1:
-        raise ValueError("prec must be >= 1")
-    dg2 = eisenstein_g2(prec).q_derivative()
-    return Fraction(1, g - 1) * (dg2 ** (g - 1)).q_derivative()
+    return Fraction(1, g - 1) * generating_series(InvariantKind.N12, g, prec)

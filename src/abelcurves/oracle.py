@@ -23,6 +23,7 @@ from typing import Iterator
 
 __all__ = [
     "WORK_LIMIT",
+    "check_work",
     "compositions",
     "count_fls",
     "count_invariant",
@@ -103,30 +104,37 @@ def compositions(total: int, length: int) -> Iterator[tuple[int, ...]]:
         yield tuple(list(map(sub, cuts + (total,), (0,) + cuts)))
 
 
+def check_work(g: int, n: int) -> None:
+    """Raise ValueError when the count at (g, n) would take more than
+    WORK_LIMIT steps: (g-1) * binomial(n+g-2, g-2) composition parts, plus
+    at most isqrt(n+1) trial divisions for each part size 1..n+1 (only n+1
+    at genus 2).  Steps grow with both g and n.  The binomial is built
+    factor by factor and abandoned once over the limit, so no huge (g, n)
+    is ever multiplied out.
+    """
+    if g < 2:
+        return
+    steps, r = g - 1, min(n, g - 2)
+    for i in range(1, r + 1):
+        if steps > WORK_LIMIT:
+            break
+        steps = steps * (n + g - 2 - r + i) // i
+    if steps + (n + 1 if g > 2 else 1) * isqrt(n + 1) > WORK_LIMIT:
+        raise ValueError(
+            f"oracle count at g={g}, n={n} needs more than "
+            f"WORK_LIMIT = {WORK_LIMIT} steps"
+        )
+
+
 def _composition_sum(g: int, n: int, end: slice = slice(0)) -> int:
     """Sum over compositions of n+g-1 into g-1 parts of the product of
     k * sigma(k) over the parts k, times each part in ``parts[end]`` (the
     first, the last or none).  sigma(k) is computed once per part size that
-    occurs, so genus 2 costs one divisor sum however large n is.
-
-    Raises ValueError, before any enumeration, when the count would take
-    more than WORK_LIMIT steps: (g-1) * binomial(n+g-2, g-2) parts, plus at
-    most isqrt(n+1) trial divisions for each part size 1..n+1 (only n+1 at
-    genus 2).  The binomial is built factor by factor and abandoned once
-    over the limit, so no huge (g, n) is ever multiplied out.
+    occurs, so genus 2 costs one divisor sum however large n is.  Refused
+    by ``check_work`` before any enumeration.
     """
     _check_index(g, n)
-    if g >= 2:
-        steps, r = g - 1, min(n, g - 2)
-        for i in range(1, r + 1):
-            if steps > WORK_LIMIT:
-                break
-            steps = steps * (n + g - 2 - r + i) // i
-        if steps + (n + 1 if g > 2 else 1) * isqrt(n + 1) > WORK_LIMIT:
-            raise ValueError(
-                f"oracle count at g={g}, n={n} needs more than "
-                f"WORK_LIMIT = {WORK_LIMIT} steps"
-            )
+    check_work(g, n)
     weight = cache(lambda k: k * divisor_sum(k))
     return sum(
         prod(map(weight, parts)) * prod(parts[end])

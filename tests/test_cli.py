@@ -329,6 +329,16 @@ def test_run_verification_rejects_bad_bounds():
         run_verification(n_max=-1)
 
 
+def test_run_verification_refuses_oversized_grid_before_any_series(monkeypatch):
+    from abelcurves import modular
+
+    calls = []
+    monkeypatch.setattr(modular, "generating_series", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="g=12, n=16 needs more than WORK_LIMIT"):
+        run_verification(12, 16)
+    assert calls == []
+
+
 # --- exit codes and determinism ---------------------------------------------
 
 
@@ -402,6 +412,14 @@ def test_process_oracle_over_work_limit_exits_two():
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: ")
     assert "WORK_LIMIT = 10000000" in proc.stderr
+
+
+def test_process_verify_over_work_limit_exits_two():
+    # the largest oracle cell, g=12 n=16, is over the limit: refused up front
+    proc = _run_process("verify", "--gmax", "12", "--nmax", "16", timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "g=12, n=16" in proc.stderr and "WORK_LIMIT" in proc.stderr
 
 
 def test_unexpected_exception_exits_two(capsys, monkeypatch):

