@@ -9,7 +9,6 @@ closed form against an independent brute-force enumeration.
 from .modular import (
     InvariantKind,
     eisenstein_g2,
-    fls_identity_series,
     generating_series,
     invariant,
     node_counts,
@@ -42,7 +41,6 @@ __all__ = [
     "count_n34",
     "divisor_sum",
     "eisenstein_g2",
-    "fls_identity_series",
     "generating_series",
     "hermite_sublattices",
     "invariant",

@@ -18,8 +18,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import golden as golden_tables
-from . import modular, oracle
+from . import golden, modular, oracle
 from .modular import InvariantKind
 from .qseries import to_integer
 
@@ -134,6 +133,8 @@ def build_count_table(
         )
     if n_lo < 0:
         raise ValueError("node count must be >= 0")
+    if source == SOURCE_ORACLE and not kind.vanishes:
+        oracle.check_work(g_hi, n_hi)  # the largest cell, refused up front
     values = tuple(
         tuple(_cell_value(kind, g, n, source) for n in range(n_lo, n_hi + 1))
         for g in range(g_lo, g_hi + 1)
@@ -171,25 +172,25 @@ def _cell_count(genera, nodes) -> str:
     return f"{len(genera) * len(nodes)} cells"
 
 
-def run_verification(g_max=5, n_max=7, sigma_max=200, golden=None) -> list[CheckResult]:
+def run_verification(g_max=5, n_max=7, sigma_max=200) -> list[CheckResult]:
     """Run every self-check and return one result per check.
 
     Every closed-form cell is read off one generating series per (kind, g),
     computed once to q^(n_max+g); the oracle side is counted cell by cell.
-    A grid whose largest oracle cell is over the work limit is refused
-    before any check runs.
-    ``golden`` overrides the embedded reference tables (used by the tests
-    to prove a corrupted cell is actually caught).
+    Work over ``oracle.WORK_LIMIT``, in the grid's largest oracle cell or in
+    the sublattice scan up to ``sigma_max``, is refused before any check runs.
     """
     if g_max < 1 or n_max < 0 or sigma_max < 1:
         raise ValueError("verification bounds out of range")
-    if golden is None:
-        golden = golden_tables.TABLES
     N, FLS, N12, N34 = (InvariantKind.N, InvariantKind.FLS,
                         InvariantKind.N12, InvariantKind.N34)
     nodes = range(n_max + 1)
 
     oracle.check_work(g_max, n_max)  # the largest oracle cell, refused up front
+    # sublattice_count(k) scans k divisor candidates: 1 + 2 + ... + sigma_max
+    if sigma_max * (sigma_max + 1) // 2 > oracle.WORK_LIMIT:
+        raise ValueError(f"sublattice counts up to k={sigma_max} need more than "
+                         f"WORK_LIMIT = {oracle.WORK_LIMIT} steps")
 
     @functools.cache
     def series(kind, g):
@@ -200,14 +201,15 @@ def run_verification(g_max=5, n_max=7, sigma_max=200, golden=None) -> list[Check
         return modular.node_counts(series(kind, g), g)
 
     (gold_g_lo, gold_g_hi), (gold_n_lo, gold_n_hi) = (
-        golden_tables.GENUS_RANGE, golden_tables.NODE_RANGE)
+        golden.GENUS_RANGE, golden.NODE_RANGE)
     gold_genera = range(gold_g_lo, min(gold_g_hi, g_max) + 1)
     gold_nodes = range(gold_n_lo, min(gold_n_hi, n_max) + 1)
     results = [
         _check(
             f"golden-{kind.value}",
             _grid(kind.value, gold_genera, gold_nodes, lambda g, n: (
-                golden[kind][g - gold_g_lo][n - gold_n_lo], counts(kind, g)[n])),
+                golden.TABLES[kind][g - gold_g_lo][n - gold_n_lo],
+                counts(kind, g)[n])),
             "({where}): reference={a} closed_form={b}",
             _cell_count(gold_genera, gold_nodes),
         )
@@ -285,22 +287,16 @@ def run_verification(g_max=5, n_max=7, sigma_max=200, golden=None) -> list[Check
 _SOURCES = {"closed": SOURCE_CLOSED, "oracle": SOURCE_ORACLE}
 
 
-class _SourceAction(argparse.Action):
-    """Store ``--source closed|oracle`` as SOURCE_CLOSED or SOURCE_ORACLE."""
-
-    def __call__(self, parser, namespace, value, option_string=None):
-        setattr(namespace, self.dest, _SOURCES[value])
-
-
 def cmd_coeff(args) -> int:
-    print(_cell_value(InvariantKind(args.kind), args.genus, args.nodes, args.source))
+    print(_cell_value(
+        InvariantKind(args.kind), args.genus, args.nodes, _SOURCES[args.source]))
     return 0
 
 
 def cmd_table(args) -> int:
     table = build_count_table(
         InvariantKind(args.kind), (args.gmin, args.gmax), (args.nmin, args.nmax),
-        args.source,
+        _SOURCES[args.source],
     )
     if args.format == "md":
         print(table.to_markdown())
@@ -351,9 +347,7 @@ def _parser() -> argparse.ArgumentParser:
     coeff.add_argument("--kind", required=True, choices=kinds)
     coeff.add_argument("--genus", required=True, type=int)
     coeff.add_argument("--nodes", required=True, type=int)
-    coeff.add_argument(
-        "--source", choices=_SOURCES, default=SOURCE_CLOSED, action=_SourceAction
-    )
+    coeff.add_argument("--source", choices=_SOURCES, default="closed")
     coeff.set_defaults(func=cmd_coeff)
 
     table = sub.add_parser("table", help="print a rectangle of invariant values")
@@ -363,9 +357,7 @@ def _parser() -> argparse.ArgumentParser:
     table.add_argument("--nmin", required=True, type=int)
     table.add_argument("--nmax", required=True, type=int)
     table.add_argument("--format", choices=["md", "csv", "json"], default="md")
-    table.add_argument(
-        "--source", choices=_SOURCES, default=SOURCE_CLOSED, action=_SourceAction
-    )
+    table.add_argument("--source", choices=_SOURCES, default="closed")
     table.set_defaults(func=cmd_table)
 
     series = sub.add_parser("series", help="print generating-series coefficients")

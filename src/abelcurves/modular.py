@@ -29,7 +29,6 @@ from .qseries import QSeries, to_integer
 __all__ = [
     "InvariantKind",
     "eisenstein_g2",
-    "fls_identity_series",
     "generating_series",
     "invariant",
     "node_counts",
@@ -109,15 +108,3 @@ def invariant(kind: InvariantKind, g: int, n: int) -> int:
         raise ValueError("node count must be >= 0")
     return node_counts(generating_series(kind, g, n + g), g)[n]
 
-
-def fls_identity_series(g: int, prec: int) -> QSeries:
-    """The fixed-linear-system series computed the other way around, as
-    D((DG2)^(g-1)) / (g-1), the n12 series over g-1.
-
-    Since D is a derivation, this equals (DG2)^(g-2) * D(DG2) identically;
-    the verification suite checks the two routes coefficient by
-    coefficient.  Defined for g >= 2.
-    """
-    if g < 2:
-        raise ValueError("the fixed-linear-system series needs g >= 2")
-    return Fraction(1, g - 1) * generating_series(InvariantKind.N12, g, prec)

@@ -146,10 +146,7 @@ class QSeries:
             return QSeries(other * c for c in self._coeffs)
         return NotImplemented
 
-    def __rmul__(self, other: object) -> "QSeries":
-        if isinstance(other, (int, Fraction)):
-            return QSeries(other * c for c in self._coeffs)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "QSeries":
         if not isinstance(exponent, int):

@@ -13,13 +13,13 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from fractions import Fraction
 from math import gcd
 
 from abelcurves.cli import run_verification
 from abelcurves.golden import GENUS_RANGE, NODE_RANGE, TABLES
 from abelcurves.modular import (
     InvariantKind,
-    fls_identity_series,
     generating_series,
     invariant,
 )
@@ -85,9 +85,9 @@ def test_criterion_3_structural_identities():
                     if kind.vanishes:
                         assert invariant(kind, g, n) == 0
         for g in range(2, 9):
-            assert fls_identity_series(g, 25) == generating_series(
-                InvariantKind.FLS, g, 25
-            )
+            assert Fraction(1, g - 1) * generating_series(
+                InvariantKind.N12, g, 25
+            ) == generating_series(InvariantKind.FLS, g, 25)
 
 
 def test_criterion_4_sublattice_sigma():
@@ -124,7 +124,9 @@ def test_criterion_5_ring_laws():
 def test_criterion_6_fls_two_one():
     with criterion("criterion-6 fls-genus-2-one-node"):
         closed = invariant(InvariantKind.FLS, 2, 1)
-        via_identity = fls_identity_series(2, 3).coefficient(2)
+        via_identity = (
+            Fraction(1, 2 - 1) * generating_series(InvariantKind.N12, 2, 3)
+        ).coefficient(2)
         brute = count_fls(2, 1)
         assert closed == 12
         assert via_identity == 12

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from abelcurves.cli import (
+    CheckResult,
     CountTable,
     SOURCE_CLOSED,
     SOURCE_ORACLE,
@@ -203,6 +204,11 @@ def test_table_zero_kind_is_all_zeros(capsys):
         assert line.split(",")[1:] == ["0", "0", "0", "0"]
 
 
+def test_table_oracle_zero_kind_has_no_work_limit():
+    table = build_count_table(InvariantKind.ZERO13, (1, 40), (0, 40), SOURCE_ORACLE)
+    assert table.values == ((0,) * 41,) * 40
+
+
 def test_table_rejects_bad_ranges(capsys):
     code, _, err = run(
         capsys,
@@ -284,8 +290,9 @@ def _corrupted_tables():
     return corrupted
 
 
-def test_run_verification_catches_corrupted_cell():
-    results = run_verification(golden=_corrupted_tables())
+def test_run_verification_catches_corrupted_cell(monkeypatch):
+    monkeypatch.setattr("abelcurves.golden.TABLES", _corrupted_tables())
+    results = run_verification()
     by_name = {r.name: r for r in results}
     failed = by_name["golden-fls"]
     assert not failed.passed
@@ -336,6 +343,23 @@ def test_run_verification_refuses_oversized_grid_before_any_series(monkeypatch):
     monkeypatch.setattr(modular, "generating_series", lambda *args: calls.append(args))
     with pytest.raises(ValueError, match="g=12, n=16 needs more than WORK_LIMIT"):
         run_verification(12, 16)
+    assert calls == []
+
+
+def test_run_verification_bounds_sigma_max_by_work_limit(monkeypatch):
+    from abelcurves import oracle
+
+    # 4471 * 4472 / 2 divisor candidates fit in WORK_LIMIT, 4472 * 4473 / 2 do not
+    calls = []
+    monkeypatch.setattr(
+        oracle, "sublattice_count", lambda k: calls.append(k) or oracle.divisor_sum(k)
+    )
+    by_name = {r.name: r for r in run_verification(sigma_max=4471)}
+    assert by_name["sigma-sublattice"] == CheckResult("sigma-sublattice", True, "k<=4471")
+    assert calls == list(range(1, 4472))
+    calls.clear()
+    with pytest.raises(ValueError, match="k=4472 need more than WORK_LIMIT"):
+        run_verification(sigma_max=4472)
     assert calls == []
 
 
@@ -420,6 +444,25 @@ def test_process_verify_over_work_limit_exits_two():
     assert (proc.returncode, proc.stdout) == (2, "")
     assert len(proc.stderr.splitlines()) == 1
     assert "g=12, n=16" in proc.stderr and "WORK_LIMIT" in proc.stderr
+
+
+def test_process_verify_sigma_max_over_work_limit_exits_two():
+    # 5e9 divisor candidates to scan: refused up front
+    proc = _run_process("verify", "--sigma-max", "100000", timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "k=100000" in proc.stderr and "WORK_LIMIT" in proc.stderr
+
+
+def test_process_oracle_table_over_work_limit_exits_two():
+    # the largest cell, g=12 n=14, is over the limit: refused before g=1
+    proc = _run_process(
+        "table", "--kind", "n", "--gmin", "1", "--gmax", "12", "--nmin", "0",
+        "--nmax", "14", "--source", "oracle", timeout=5,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "g=12, n=14" in proc.stderr and "WORK_LIMIT" in proc.stderr
 
 
 def test_unexpected_exception_exits_two(capsys, monkeypatch):

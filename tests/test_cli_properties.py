@@ -16,8 +16,9 @@ from abelcurves.modular import InvariantKind  # noqa: E402
 KINDS = st.sampled_from([k.value for k in InvariantKind])
 FORMATS = st.sampled_from(["md", "csv", "json"])
 SOURCES = st.sampled_from(["closed", "oracle"])
-# Far beyond any list the closed form could build.  The band between these
-# and the small ranges is left out: the closed form has no cap there yet.
+# Far beyond any list the closed form could build, and any sublattice scan
+# `verify --sigma-max` accepts.  The band between these and the small ranges
+# is left out: the closed form has no cap there yet.
 HUGE = st.sampled_from([2**64, 10**20])
 
 
@@ -47,7 +48,7 @@ ARGV = st.one_of(
     _argv("verify", optional=[
         ("--gmax", st.integers(-1, 4)),
         ("--nmax", st.integers(-1, 6)),
-        ("--sigma-max", st.integers(-1, 30)),
+        ("--sigma-max", st.integers(-1, 30) | HUGE),
     ]),
 )
 

@@ -6,7 +6,6 @@ from abelcurves import modular, oracle, qseries
 from abelcurves.modular import (
     InvariantKind,
     eisenstein_g2,
-    fls_identity_series,
     generating_series,
     invariant,
 )
@@ -130,8 +129,6 @@ def test_fls_rejects_genus_one():
         generating_series(InvariantKind.FLS, 1, 5)
     with pytest.raises(ValueError):
         invariant(InvariantKind.FLS, 1, 2)
-    with pytest.raises(ValueError):
-        fls_identity_series(1, 5)
 
 
 def test_zero_kinds_vanish():
@@ -183,9 +180,9 @@ def test_fls_ratio_identity():
 
 def test_fls_identity_series_agrees():
     for g in range(2, 7):
-        assert fls_identity_series(g, 20) == generating_series(
-            InvariantKind.FLS, g, 20
-        )
+        assert Fraction(1, g - 1) * generating_series(
+            InvariantKind.N12, g, 20
+        ) == generating_series(InvariantKind.FLS, g, 20)
 
 
 def test_domain_validation():
@@ -197,8 +194,6 @@ def test_domain_validation():
         invariant(InvariantKind.N, 2, -1)
     with pytest.raises(ValueError):
         invariant(InvariantKind.N, -3, 0)
-    with pytest.raises(ValueError):
-        fls_identity_series(3, 0)
     with pytest.raises(ValueError):
         generating_series("not-a-kind", 2, 5)
 
