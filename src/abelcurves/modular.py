@@ -15,6 +15,12 @@ the q^(n+g-1) coefficient of:
     n34     (DG2)^(g-1)                family over the second loop pair
     zero*   0                          the four mixed loop pairs
 
+Since DG2 has no constant term, DG2 = q*h with h_k = (k+1)*sigma(k+1), and
+(DG2)^(g-1) = q^(g-1) * h^(g-1).  So a series known modulo q**prec needs h
+only modulo q**(prec-g+1): the powers run at that precision and are then
+shifted, and the squarings inside them use the symmetry of a square
+(``QSeries.__mul__`` forms each cross product once).
+
 Every count is an integer; extraction goes through ``to_integer`` so a
 fractional coefficient (an internal bug) fails loudly instead of leaking.
 """
@@ -81,16 +87,23 @@ def generating_series(kind: InvariantKind, g: int, prec: int) -> QSeries:
         )
     if prec < 1:
         raise ValueError("prec must be >= 1")
-    if kind.vanishes:
+    if kind.vanishes or prec <= g - 1:
         return QSeries.zero(prec)
-    dg2 = eisenstein_g2(prec).q_derivative()
-    if kind is InvariantKind.N:
-        return g * dg2 ** (g - 1)
+    # h = DG2/q, known modulo q^(prec-g+1): DG2's zero constant term dropped.
+    dg2 = eisenstein_g2(prec - g + 2).q_derivative()
+    h = QSeries(dg2.coefficients[1:])
     if kind is InvariantKind.FLS:
-        return dg2 ** (g - 2) * dg2.q_derivative()
+        # D(DG2) = q*h' with h'_k = (k+1)*h_k, so the product is
+        # q^(g-1) * h^(g-2) * h'.
+        power = h ** (g - 2) * QSeries(dg2.q_derivative().coefficients[1:])
+    else:
+        power = h ** (g - 1)
+    shifted = QSeries([0] * (g - 1) + list(power))
+    if kind is InvariantKind.N:
+        return g * shifted
     if kind is InvariantKind.N12:
-        return (dg2 ** (g - 1)).q_derivative()
-    return dg2 ** (g - 1)  # N34
+        return shifted.q_derivative()
+    return shifted  # N34 and FLS
 
 
 def node_counts(series: QSeries, g: int) -> list[int]:

@@ -130,6 +130,22 @@ class QSeries:
         return QSeries(-c for c in self._coeffs)
 
     def __mul__(self, other: object) -> "QSeries":
+        if other is self:
+            # A square: each cross product a_i*a_j (i < j) once, doubled.
+            coeffs = self._coeffs
+            prec = len(coeffs)
+            out = [Fraction(0)] * prec
+            for i in range((prec + 1) // 2):
+                a = coeffs[i]
+                if not a:
+                    continue
+                out[2 * i] += a * a
+                a2 = 2 * a
+                for j in range(i + 1, prec - i):
+                    b = coeffs[j]
+                    if b:
+                        out[i + j] += a2 * b
+            return QSeries(out)
         if isinstance(other, QSeries):
             prec = min(len(self._coeffs), len(other._coeffs))
             out = [Fraction(0)] * prec

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -475,6 +476,25 @@ def test_unexpected_exception_exits_two(capsys, monkeypatch):
         "--source", "oracle",
     )
     assert (code, out, err) == (2, "", "internal error: RuntimeError: boom\n")
+
+
+def _n34_at_three_nodes(g):
+    # [q^3] h^m with m = g - 1 and h = 1 + 6q + 12q^2 + 28q^3 + ...: one
+    # part 3 (28), parts 1 and 2 in either order (2*6*12), or three 1s (6^3).
+    m = g - 1
+    return 28 * m + 144 * math.comb(m, 2) + 216 * math.comb(m, 3)
+
+
+def test_process_high_genus_counts():
+    # Beyond the oracle's WORK_LIMIT, so the test derives the values itself.
+    n34 = _n34_at_three_nodes(2000)
+    assert (n34, 2002 * n34) == (287424415900, 575423680631800)
+    proc = _run_process("coeff", "--kind", "n34", "--genus", "2000", "--nodes", "3", timeout=10)
+    assert (proc.returncode, proc.stdout) == (0, f"{n34}\n")
+    proc = _run_process("coeff", "--kind", "n12", "--genus", "2000", "--nodes", "3", timeout=10)
+    assert (proc.returncode, proc.stdout) == (0, f"{2002 * n34}\n")
+    proc = _run_process("coeff", "--kind", "n", "--genus", "100000", "--nodes", "0", timeout=10)
+    assert (proc.returncode, proc.stdout) == (0, "100000\n")
 
 
 def test_process_determinism():

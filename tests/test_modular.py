@@ -205,3 +205,61 @@ def test_invariant_kind_properties():
     assert InvariantKind.ZERO13.vanishes
     assert not InvariantKind.N34.vanishes
     assert len(ZERO_KINDS) == 4
+
+
+def _int_product(a, b, prec):
+    out = [0] * prec
+    for i in range(prec):
+        for j in range(prec - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def _int_power(a, e, prec):
+    out = [1] + [0] * (prec - 1)
+    for _ in range(e):
+        out = _int_product(out, a, prec)
+    return out
+
+
+def _paper_route(kind, g, prec):
+    # The paper's route in plain ints: P = DG2 with P_k = k*sigma(k), D(x)_k = k*x_k.
+    p = [k * sum(d for d in range(1, k + 1) if k % d == 0) for k in range(prec)]
+    if kind is InvariantKind.N:
+        return [g * c for c in _int_power(p, g - 1, prec)]
+    if kind is InvariantKind.FLS:
+        return _int_product(_int_power(p, g - 2, prec), _derivative(p), prec)
+    if kind is InvariantKind.N12:
+        return _derivative(_int_power(p, g - 1, prec))
+    return _int_power(p, g - 1, prec)
+
+
+def _derivative(x):
+    return [k * c for k, c in enumerate(x)]
+
+
+def test_series_match_the_paper_route_at_every_precision():
+    # prec <= g - 1 included, where every coefficient lies below q^(g-1).
+    for kind in NONZERO_KINDS:
+        for g in range(kind.min_genus, 9):
+            for prec in range(1, g + 7):
+                assert generating_series(kind, g, prec) == QSeries(
+                    _paper_route(kind, g, prec)
+                ), (kind, g, prec)
+
+
+def test_powers_run_at_prec_minus_genus_plus_one(monkeypatch):
+    precs = []
+    mul = QSeries.__mul__
+
+    def recording(self, other):
+        if isinstance(other, QSeries):
+            precs.extend((self.prec, other.prec))
+        return mul(self, other)
+
+    monkeypatch.setattr(QSeries, "__mul__", recording)
+    generating_series(InvariantKind.N34, 8, 20)
+    assert precs and set(precs) == {13}
+    precs.clear()
+    invariant(InvariantKind.N, 2000, 3)
+    assert precs and set(precs) == {4}

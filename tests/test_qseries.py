@@ -222,3 +222,34 @@ def test_hash_consistent_with_eq():
     b = QSeries([1, Fraction(1, 2)])
     assert a == b
     assert hash(a) == hash(b)
+
+
+def _sparse_series(rng, prec):
+    # Zeros, negative and fractional coefficients, so the squaring path's
+    # skips, signs and doubling all take part.
+    return QSeries(
+        [
+            0 if rng.random() < 0.3 else Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            for _ in range(prec)
+        ]
+    )
+
+
+def test_square_matches_general_product():
+    rng = random.Random(1728)
+    for prec in range(1, 41):
+        for _ in range(3):
+            s = _sparse_series(rng, prec)
+            # An equal but distinct operand takes the general loop.
+            assert s * s == s * QSeries(list(s))
+
+
+def test_pow_matches_repeated_product():
+    rng = random.Random(1729)
+    for prec in range(1, 41, 3):
+        s = _sparse_series(rng, prec)
+        copy = QSeries(list(s))
+        product = QSeries.one(prec)
+        for e in range(13):
+            assert s**e == product
+            product = product * copy
